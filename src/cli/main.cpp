@@ -940,7 +940,12 @@ int cmd_fuzz(const Cli& cli) {
               << "\n";
     return 1;
   }
-  std::cout << "result: all engines agree on all verdicts\n";
+  std::cout << "result: all engines agree on all verdicts";
+  if (!report.sim_faults.empty()) {
+    std::cout << " (" << report.sim_faults.size()
+              << " iteration(s) skipped: simulator fault in the spec)";
+  }
+  std::cout << "\n";
   return 0;
 }
 

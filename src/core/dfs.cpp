@@ -86,7 +86,7 @@ class DfsEngine {
                                           result.stats);
       if (!init.ok) {
         emit_enter(static_cast<int>(ii), -1, init.executed, false, false, 0);
-        note(result, init.note);
+        prefer(note_, init.veto);
         continue;
       }
       std::vector<int> start_states{init.state.machine.fsm_state};
@@ -127,6 +127,7 @@ class DfsEngine {
             out_of_budget_ ? budget_reason_ : InconclusiveReason::Depth;
       }
     }
+    result.note = note_.render(spec_, trace_);
     result.stats.reason = result.reason;
     result.stats.evictions = visited_.evictions();
     result.stats.cpu_seconds = timer.elapsed();
@@ -143,18 +144,6 @@ class DfsEngine {
   }
 
  private:
-  static void note(DfsResult& result, const std::string& msg) {
-    if (msg.empty()) return;
-    // Keep the most diagnostic veto: a concrete parameter mismatch beats
-    // ordering complaints from unrelated failed interleavings.
-    const bool existing_param =
-        result.note.find("parameter") != std::string::npos;
-    const bool incoming_param = msg.find("parameter") != std::string::npos;
-    if (result.note.empty() || (incoming_param && !existing_param)) {
-      result.note = msg;
-    }
-  }
-
   /// Cooperative budget check at the generate/backtrack boundary: the
   /// transition budget first, then the wall-clock/memory governor.
   bool budget_exceeded(const Stats& stats) {
@@ -281,7 +270,7 @@ class DfsEngine {
       if (!applied.ok) {
         // cur is now dirty; the next sibling (or an ancestor's) restore
         // repairs it before anything else executes.
-        note(result, applied.note);
+        prefer(note_, applied.veto);
         continue;
       }
 
@@ -340,7 +329,7 @@ class DfsEngine {
     const int depth = static_cast<int>(stack.size());
     frame.gen = generate(interp_, trace_, ro_, cur, result.stats,
                          ObsCtx{sink_, origin, -1, depth});
-    note(result, frame.gen.fault);
+    prefer(note_, frame.gen.fault);
     if (frame.gen.firings.size() > 1) {
       frame.mark = ckpt.save(cur);  // save only when the node branches
       ++result.stats.saves;
@@ -360,6 +349,7 @@ class DfsEngine {
   ResourceGovernor governor_;
   obs::Sink* sink_ = nullptr;
   std::uint64_t witness_ = 0;
+  Veto note_;  // the veto result.note reports, rendered once at the end
   bool out_of_budget_ = false;
   InconclusiveReason budget_reason_ = InconclusiveReason::None;
   bool depth_clipped_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "trace/trace_io.hpp"
 
@@ -15,29 +16,27 @@ TraceMatcher::TraceMatcher(const est::Spec& spec, const tr::Trace& trace,
       ro_(ro),
       st_(st),
       partial_(partial),
-      ckpt_(ckpt),
-      start_cursors_(st.cursors) {}
+      ckpt_(ckpt) {}
 
 bool TraceMatcher::on_output(int ip, int interaction_id,
                              std::vector<rt::Value> params, SourceLoc loc) {
   if (ro_.is_disabled(ip)) return true;  // §2.4.3: always considered valid
 
   const std::uint32_t seq = st_.cursors.next_seq(trace_, ip, tr::Dir::Out);
-  if (seq == std::numeric_limits<std::uint32_t>::max()) {
-    failure_ = "produced an output at ip '" +
-               spec_.ips[static_cast<std::size_t>(ip)].name +
-               "' but the trace has no pending output there";
-    retry_later_ = !trace_.eof();  // the matching event may still arrive
+  const auto reject = [&](Veto::Kind kind) {
+    veto_.kind = kind;
+    veto_.ip = ip;
+    veto_.interaction = interaction_id;
+    veto_.seq = seq;
     return false;
+  };
+  if (seq == std::numeric_limits<std::uint32_t>::max()) {
+    retry_later_ = !trace_.eof();  // the matching event may still arrive
+    return reject(Veto::Kind::NoPendingOutput);
   }
   const tr::TraceEvent& ev = trace_.event(seq);
   if (ev.interaction != interaction_id) {
-    failure_ = "produced '" + spec_.interaction(interaction_id).name +
-               "' at ip '" + spec_.ips[static_cast<std::size_t>(ip)].name +
-               "' but the trace expects '" +
-               spec_.interaction(ev.interaction).name + "' (trace line " +
-               std::to_string(ev.loc.line) + ")";
-    return false;
+    return reject(Veto::Kind::WrongInteraction);
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
     if (!partial_ && rt::contains_undefined(params[i])) {
@@ -47,12 +46,9 @@ bool TraceMatcher::on_output(int ip, int interaction_id,
                                   "' is undefined (strict mode)");
     }
     if (!rt::equals(params[i], ev.params[i], partial_)) {
-      failure_ = "parameter " + std::to_string(i + 1) + " of '" +
-                 spec_.interaction(interaction_id).name + "' is " +
-                 params[i].to_string() + " but the trace has " +
-                 ev.params[i].to_string() + " (trace line " +
-                 std::to_string(ev.loc.line) + ")";
-      return false;
+      veto_.param = static_cast<int>(i);
+      veto_.produced = std::move(params[i]);
+      return reject(Veto::Kind::ParamMismatch);
     }
   }
 
@@ -60,48 +56,30 @@ bool TraceMatcher::on_output(int ip, int interaction_id,
   // input at the same ip.
   if (ro_.base->check_output_wrt_input &&
       st_.cursors.next_seq(trace_, ip, tr::Dir::In) < seq) {
-    failure_ = "output ordering: an earlier input at the same ip is still "
-               "pending";
-    return false;
+    return reject(Veto::Kind::OutputBeforeInput);
   }
 
   if (ckpt_ != nullptr) ckpt_->log_cursor_advance(tr::Dir::Out, ip);
   st_.cursors.advance(tr::Dir::Out, ip);
-  matched_.push_back(seq);
+  last_matched_ = std::max(last_matched_, seq);
   return true;
 }
 
 bool TraceMatcher::finish() {
-  if (!ro_.base->check_ip_order || matched_.empty()) return true;
+  if (!ro_.base->check_ip_order) return true;
 
   // The outputs of this block must occupy the globally-earliest pending
   // output slots as of the start of the transition — in any order among
   // themselves (§2.4.2: outputs of one block to different ips may be
-  // permuted in the trace).
-  std::vector<std::uint32_t> expected;
-  CursorSet probe = start_cursors_;
-  for (std::size_t k = 0; k < matched_.size(); ++k) {
-    std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
-    int best_ip = -1;
-    for (int ip = 0; ip < trace_.ip_count(); ++ip) {
-      if (ro_.is_disabled(ip)) continue;
-      const std::uint32_t s = probe.next_seq(trace_, ip, tr::Dir::Out);
-      if (s < best) {
-        best = s;
-        best_ip = ip;
-      }
+  // permuted in the trace). The block consumed a prefix of each ip's
+  // pending outputs, so that holds iff every output still pending now
+  // comes after the latest one the block verified.
+  for (int ip = 0; ip < trace_.ip_count(); ++ip) {
+    if (ro_.is_disabled(ip)) continue;
+    if (st_.cursors.next_seq(trace_, ip, tr::Dir::Out) < last_matched_) {
+      veto_.kind = Veto::Kind::IpOrder;
+      return false;
     }
-    if (best_ip < 0) break;
-    expected.push_back(best);
-    probe.advance(tr::Dir::Out, best_ip);
-  }
-
-  std::vector<std::uint32_t> got = matched_;
-  std::sort(got.begin(), got.end());
-  if (got != expected) {
-    failure_ = "IP relative order: the block's outputs are not the "
-               "globally-earliest pending outputs";
-    return false;
   }
   return true;
 }
@@ -127,13 +105,13 @@ ApplyResult apply_firing(rt::Interp& interp, const tr::Trace& trace,
   try {
     if (!interp.fire(st.machine, tr, firing.binding, matcher,
                      ckpt != nullptr ? ckpt->trail() : nullptr)) {
-      return {false, matcher.retry_later(), matcher.failure()};
+      return {false, matcher.retry_later(), std::move(matcher.veto())};
     }
   } catch (const RuntimeFault& fault) {
-    return {false, false, fault.what()};
+    return {false, false, Veto::message(fault.what())};
   }
   if (!matcher.finish()) {
-    return {false, false, matcher.failure()};
+    return {false, false, std::move(matcher.veto())};
   }
   return {true, false, {}};
 }
@@ -148,7 +126,7 @@ InitResult apply_initializer(rt::Interp& interp, const tr::Trace& trace,
 
   try {
     if (!interp.provided_holds(out.state.machine, init)) {
-      out.note = "initialize provided clause is false";
+      out.veto = Veto::message("initialize provided clause is false");
       return out;
     }
     ++stats.transitions_executed;
@@ -156,16 +134,16 @@ InitResult apply_initializer(rt::Interp& interp, const tr::Trace& trace,
     TraceMatcher matcher(interp.spec(), trace, ro, out.state,
                          ro.base->partial);
     if (!interp.run_initializer(out.state.machine, init, matcher)) {
-      out.note = matcher.failure();
+      out.veto = std::move(matcher.veto());
       out.retry_later = matcher.retry_later();
       return out;
     }
     if (!matcher.finish()) {
-      out.note = matcher.failure();
+      out.veto = std::move(matcher.veto());
       return out;
     }
   } catch (const RuntimeFault& fault) {
-    out.note = fault.what();
+    out.veto = Veto::message(fault.what());
     return out;
   }
   out.ok = true;

@@ -5,11 +5,10 @@
 // same-transition permutation special case) and the §2.4.3 ip disabling.
 #pragma once
 
-#include <string>
-
 #include "core/checkpoint.hpp"
 #include "core/generator.hpp"
 #include "core/search_state.hpp"
+#include "core/veto.hpp"
 
 namespace tango::core {
 
@@ -29,8 +28,8 @@ class TraceMatcher final : public rt::OutputSink {
   /// (§2.4.2 special case). Call once after the block succeeds.
   [[nodiscard]] bool finish();
 
-  /// Human-readable reason for the last veto (verbose diagnostics).
-  [[nodiscard]] const std::string& failure() const { return failure_; }
+  /// The last veto, in structured form (rendered only when reported).
+  [[nodiscard]] Veto& veto() { return veto_; }
 
   /// True when the veto was caused by an exhausted output queue while the
   /// trace can still grow — the firing may succeed after new events arrive
@@ -44,16 +43,17 @@ class TraceMatcher final : public rt::OutputSink {
   SearchState& st_;
   bool partial_;
   Checkpointer* ckpt_;
-  CursorSet start_cursors_;            // snapshot at transition start
-  std::vector<std::uint32_t> matched_; // trace seqs verified by this block
-  std::string failure_;
+  // Latest trace seq among the outputs this block verified; 0 when none,
+  // which no pending output precedes.
+  std::uint32_t last_matched_ = 0;
+  Veto veto_;
   bool retry_later_ = false;
 };
 
 struct ApplyResult {
   bool ok = false;
   bool retry_later = false;  // output queue exhausted on a growing trace
-  std::string note;          // veto reason / runtime fault, when !ok
+  Veto veto;                 // veto reason / runtime fault, when !ok
 };
 
 /// Applies `firing` to `st` (mutating it). On failure `st` is left
@@ -79,7 +79,7 @@ struct InitResult {
   /// through this flag.
   bool executed = false;
   SearchState state;
-  std::string note;
+  Veto veto;
 };
 [[nodiscard]] InitResult apply_initializer(rt::Interp& interp,
                                            const tr::Trace& trace,

@@ -179,7 +179,7 @@ GenResult generate(rt::Interp& interp, const tr::Trace& trace,
       // A faulting provided clause cannot be satisfied on this path; note
       // the first fault for diagnostics and treat the transition as not
       // offered.
-      if (out.fault.empty()) out.fault = fault.what();
+      if (out.fault.empty()) out.fault = Veto::message(fault.what());
     }
     if (gm != nullptr) {
       if (gm->pure(ti)) {

@@ -9,12 +9,12 @@
 // fireable later.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "core/obs_record.hpp"
 #include "core/search_state.hpp"
 #include "core/stats.hpp"
+#include "core/veto.hpp"
 #include "runtime/interp.hpp"
 
 namespace tango::core {
@@ -29,7 +29,7 @@ struct Firing {
 struct GenResult {
   std::vector<Firing> firings;
   bool incomplete = false;  // PG: more firings may appear with new input
-  std::string fault;        // first provided-clause fault, if any (path note)
+  Veto fault;  // first provided-clause fault, if any (path note)
 };
 
 /// Enumerates fireable transitions in declaration order, then keeps only

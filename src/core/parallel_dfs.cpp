@@ -60,7 +60,7 @@ struct Task {
 struct Outcome {
   std::vector<std::uint32_t> lineage;
   Stats stats;
-  std::string note;
+  Veto note;
   bool found = false;
   std::vector<std::string> solution;
   std::uint64_t witness = 0;  // fire event id of the completing state
@@ -73,15 +73,6 @@ struct NodeFrame {
   std::string chosen;               // name of the firing taken to descend
   std::uint64_t origin = 0;         // enter/fire event that made this state
 };
-
-/// Same veto-preference rule as the sequential engine: a concrete
-/// parameter mismatch beats ordering complaints from failed interleavings.
-void merge_note(std::string& into, const std::string& msg) {
-  if (msg.empty()) return;
-  const bool existing_param = into.find("parameter") != std::string::npos;
-  const bool incoming_param = msg.find("parameter") != std::string::npos;
-  if (into.empty() || (incoming_param && !existing_param)) into = msg;
-}
 
 class ParallelEngine {
  public:
@@ -130,7 +121,7 @@ class ParallelEngine {
       bump_shared_te();
       if (!init.ok) {
         emit_enter(static_cast<int>(ii), -1, init.executed, false, false, 0);
-        merge_note(init_out.note, init.note);
+        prefer(init_out.note, init.veto);
         continue;
       }
       std::vector<int> start_states{init.state.machine.fsm_state};
@@ -167,9 +158,9 @@ class ParallelEngine {
       }
     }
 
+    Veto note = std::move(init_out.note);
     if (early_valid) {
       result.stats = init_out.stats;
-      result.note = init_out.note;
     } else {
       if (!roots.empty()) run_pool(std::move(roots));
 
@@ -179,11 +170,10 @@ class ParallelEngine {
                   return a.lineage < b.lineage;
                 });
       result.stats = init_out.stats;
-      result.note = init_out.note;
       const Outcome* winner = nullptr;
       for (const Outcome& o : outcomes_) {
         result.stats += o.stats;
-        merge_note(result.note, o.note);
+        prefer(note, o.note);
         if (o.found && winner == nullptr) winner = &o;
       }
       if (shared_visited_ != nullptr) {
@@ -222,6 +212,7 @@ class ParallelEngine {
         result.stats.reason = InconclusiveReason::None;
       }
     }
+    result.note = note.render(spec_, trace_);
     result.stats.cpu_seconds = timer.elapsed();
     if (sink_ != nullptr) {
       emit_verdict(*sink_, witness, to_string(result.verdict), result.stats,
@@ -430,7 +421,7 @@ class ParallelEngine {
       } else {
         root.gen = generate(interp, trace_, ro_, cur, stats,
                             ObsCtx{sink_, t.origin, wid, t.node_depth - 1});
-        merge_note(out.note, root.gen.fault);
+        prefer(out.note, root.gen.fault);
       }
       if (root.gen.firings.size() > 1) {
         root.mark = ckpt->save(cur);
@@ -569,7 +560,7 @@ class ParallelEngine {
         fire_event = e.id;
       }
       if (!applied.ok) {
-        merge_note(out.note, applied.note);
+        prefer(out.note, applied.veto);
         continue;
       }
 
@@ -623,7 +614,7 @@ class ParallelEngine {
       child.origin = fire_event;
       child.gen = generate(interp, trace_, ro_, cur, stats,
                            ObsCtx{sink_, fire_event, wid, node_depth});
-      merge_note(out.note, child.gen.fault);
+      prefer(out.note, child.gen.fault);
       if (child.gen.firings.size() > 1) {
         child.mark = ckpt->save(cur);
         ++stats.saves;

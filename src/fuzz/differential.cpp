@@ -163,21 +163,13 @@ MatrixResult run_matrix(const est::Spec& spec, const tr::Trace& trace,
   for (const OrderPreset& preset : order_presets()) {
     MatrixColumn column;
     column.order = preset.name;
-    core::Options options = preset.options;
-    options.initial_state_search = base.initial_state_search;
-    options.disabled_ips = base.disabled_ips;
-    options.unobservable_ips = base.unobservable_ips;
-    options.partial = base.partial;
-    options.reorder_pg_nodes = base.reorder_pg_nodes;
-    options.prune_on_pgav = base.prune_on_pgav;
-    options.max_transitions = base.max_transitions;
-    options.max_depth = base.max_depth;
-    options.deadline_ms = base.deadline_ms;
-    options.checkpoint = base.checkpoint;
-    options.interp = base.interp;
-    options.jobs = base.jobs;
-    options.deterministic = base.deterministic;
-    options.visited_max = base.visited_max;
+    // Every cell runs under the caller's options; the preset decides only
+    // the three order checks. Cells record only through `capture`.
+    core::Options options = base;
+    options.check_input_wrt_output = preset.options.check_input_wrt_output;
+    options.check_output_wrt_input = preset.options.check_output_wrt_input;
+    options.check_ip_order = preset.options.check_ip_order;
+    options.sink = nullptr;
     for (Engine e : engines) {
       std::unique_ptr<obs::JsonlSink> sink;
       if (capture != nullptr) {

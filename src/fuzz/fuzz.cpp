@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -165,7 +166,8 @@ std::string FuzzReport::to_json() const {
   os << "{\"iterations\":" << iterations
      << ",\"traces_analyzed\":" << traces_analyzed
      << ",\"verdicts\":" << verdicts << ",\"oracle_checks\":" << oracle_checks
-     << ",\"disagreements\":" << disagreements.size() << ",\"engines\":{";
+     << ",\"disagreements\":" << disagreements.size()
+     << ",\"sim_faults\":" << sim_faults.size() << ",\"engines\":{";
   bool first = true;
   for (const EngineTotals& t : totals) {
     if (!first) os << ',';
@@ -185,6 +187,10 @@ std::string FuzzReport::summary() const {
   for (const EngineTotals& t : totals) {
     os << "  " << t.engine << ": analyses=" << t.analyses << " "
        << t.stats.summary() << "\n";
+  }
+  for (const SimFault& f : sim_faults) {
+    os << "  simulator fault (iteration skipped): spec=" << f.spec
+       << " seed=" << f.iteration_seed << ": " << f.message << "\n";
   }
   return os.str();
 }
@@ -255,8 +261,20 @@ FuzzReport run_fuzz(const FuzzConfig& config, std::ostream* log) {
     so.recording = std::uniform_int_distribution<int>(0, 3)(rng) == 0
                        ? sim::InputRecording::AtArrival
                        : sim::InputRecording::AtConsumption;
-    sim::SimResult sim =
-        sim::simulate(spec, synthesize_feeds(spec, rng, config.generator), so);
+    std::optional<sim::SimResult> simulated;
+    try {
+      simulated = sim::simulate(
+          spec, synthesize_feeds(spec, rng, config.generator), so);
+    } catch (const RuntimeFault& fault) {
+      if (log != nullptr) {
+        *log << "fuzz: simulator fault, iteration skipped: spec=" << names[si]
+             << " seed=" << iseed << ": " << fault.what() << "\n";
+      }
+      report.sim_faults.push_back(SimFault{names[si], iseed, iter,
+                                           fault.what()});
+      return;
+    }
+    const sim::SimResult& sim = *simulated;
     const std::size_t n = sim.trace.events().size();
     const bool aborted = sim.note == "transition aborted" ||
                          sim.note == "initializer aborted";
@@ -438,6 +456,7 @@ FuzzReport run_fuzz(const FuzzConfig& config, std::ostream* log) {
     for (Disagreement& dd : d.disagreements) {
       report.disagreements.push_back(std::move(dd));
     }
+    for (SimFault& f : d.sim_faults) report.sim_faults.push_back(std::move(f));
     if (log != nullptr) {
       const std::string text = logs[i].str();
       if (!text.empty()) *log << text;

@@ -95,6 +95,16 @@ struct Disagreement {
   std::string bundle_path;  // file written under out_dir ("" when disabled)
 };
 
+/// An iteration whose simulated run faulted inside the specification — a
+/// spec bug the simulator executed, not an engine disagreement. The
+/// iteration has no known-valid trace, so its matrix is skipped.
+struct SimFault {
+  std::string spec;
+  std::uint32_t iteration_seed = 0;
+  int iteration = 0;
+  std::string message;
+};
+
 struct EngineTotals {
   std::string engine;
   std::uint64_t analyses = 0;
@@ -108,7 +118,9 @@ struct FuzzReport {
   std::uint64_t oracle_checks = 0;    // O1/O2 expectations evaluated
   std::vector<EngineTotals> totals;   // per-engine TE/GE/RE/SA aggregates
   std::vector<Disagreement> disagreements;
+  std::vector<SimFault> sim_faults;  // iterations skipped, see SimFault
 
+  /// No engine disagreement (simulator faults are reported, not failures).
   [[nodiscard]] bool clean() const { return disagreements.empty(); }
   /// Figure-3-comparable per-engine totals plus run counters, as JSON.
   [[nodiscard]] std::string to_json() const;

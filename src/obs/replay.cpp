@@ -176,7 +176,8 @@ class Replayer {
     }
     if (!init.ok) {
       issue(i, "recorded ok enter, but initializer " + std::to_string(e.init) +
-                   " is vetoed on replay: " + init.note);
+                   " is vetoed on replay: " +
+                   init.veto.render(spec_, trace_));
       return;
     }
     Node node;
@@ -272,7 +273,8 @@ class Replayer {
     if (!applied.ok) {
       issue(i, "recorded ok fire of transition " +
                    std::to_string(e.transition) +
-                   " is vetoed on replay: " + applied.note);
+                   " is vetoed on replay: " +
+                   applied.veto.render(spec_, trace_));
       return;
     }
     const std::uint64_t h = child.state.hash();

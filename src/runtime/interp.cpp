@@ -1,5 +1,6 @@
 #include "runtime/interp.hpp"
 
+#include <array>
 #include <utility>
 
 namespace tango::rt {
@@ -17,22 +18,58 @@ using est::Type;
 using est::TypeKind;
 using est::UnOp;
 
-/// Thrown when the sink vetoes an output; unwinds the whole firing.
+/// Thrown only when the sink vetoes an output inside a function called from
+/// an expression: an expression cannot stop half-evaluated, so that one
+/// case still unwinds the firing. Every other veto sets Exec's abort flag,
+/// and each statement loop stops as soon as it is set.
 struct PathAbort {};
 
-struct Frame {
+/// A routine's or transition's locals and parameters. Up to kInlineSlots
+/// slots live in the frame itself, so most firings and calls allocate no
+/// frame storage.
+class Frame {
+ public:
   struct Slot {
     Value v;
     Value* ref = nullptr;  // set for var-parameters
   };
-  std::vector<Slot> slots;
-  const std::vector<Value>* when_params = nullptr;
+
+  explicit Frame(int size) {
+    const auto n = static_cast<std::size_t>(size);
+    if (n > kInlineSlots) {
+      spill_.resize(n);
+      slots_ = spill_.data();
+    }
+  }
+  Frame(const Frame&) = delete;
+  Frame& operator=(const Frame&) = delete;
+
+  Slot& slot(std::size_t i) { return slots_[i]; }
 
   Value& slot_value(int i) {
-    Slot& s = slots[static_cast<std::size_t>(i)];
+    Slot& s = slots_[static_cast<std::size_t>(i)];
     return s.ref != nullptr ? *s.ref : s.v;
   }
+
+  const std::vector<Value>* when_params = nullptr;
+
+ private:
+  static constexpr std::size_t kInlineSlots = 8;
+  std::array<Slot, kInlineSlots> inline_{};
+  std::vector<Slot> spill_;
+  Slot* slots_ = inline_.data();
 };
+
+/// True if evaluating `e` may run a user routine (which can write any
+/// storage a reference taken before the call points into).
+bool calls_routine(const Expr& e) {
+  if (e.kind == ExprKind::Call && e.builtin == Builtin::None) return true;
+  if (e.kind == ExprKind::Name && e.ref == NameRef::Call0) return true;
+  for (const est::ExprPtr& c : e.children) {
+    if (calls_routine(*c)) return true;
+  }
+  return false;
+}
 
 class Exec {
  public:
@@ -51,7 +88,7 @@ class Exec {
   void init_locals(Frame& f, const std::vector<est::VarDecl>& decls) {
     for (const est::VarDecl& d : decls) {
       for (std::size_t i = 0; i < d.names.size(); ++i) {
-        f.slots[static_cast<std::size_t>(d.first_slot) + i].v =
+        f.slot(static_cast<std::size_t>(d.first_slot) + i).v =
             default_value(d.type->resolved);
       }
     }
@@ -71,7 +108,7 @@ class Exec {
       case StmtKind::Empty:
         return;
       case StmtKind::Compound:
-        for (const est::StmtPtr& c : s.body) exec(*c, f);
+        exec_seq(s.body, f);
         return;
       case StmtKind::Assign: {
         Value v = eval(*s.e1, f);
@@ -94,11 +131,13 @@ class Exec {
           }
           --budget_;
           exec(*s.s0, f);
+          if (aborted_) return;
         }
         return;
       case StmtKind::Repeat:
         do {
-          for (const est::StmtPtr& c : s.body) exec(*c, f);
+          exec_seq(s.body, f);
+          if (aborted_) return;
           if (budget_ == 0) {
             throw RuntimeFault(s.loc, "statement budget exceeded in repeat");
           }
@@ -111,12 +150,12 @@ class Exec {
                                             s.args[0]->loc);
         Value* var = lvalue(*s.e0, f);
         if (s.downto) {
-          for (std::int64_t i = from; i >= to; --i) {
+          for (std::int64_t i = from; i >= to && !aborted_; --i) {
             *var = Value::make_int(i);
             exec(*s.s0, f);
           }
         } else {
-          for (std::int64_t i = from; i <= to; ++i) {
+          for (std::int64_t i = from; i <= to && !aborted_; ++i) {
             *var = Value::make_int(i);
             exec(*s.s0, f);
           }
@@ -134,7 +173,7 @@ class Exec {
           }
         }
         if (s.has_otherwise) {
-          for (const est::StmtPtr& c : s.otherwise) exec(*c, f);
+          exec_seq(s.otherwise, f);
           return;
         }
         throw RuntimeFault(s.loc, "case selector matches no label");
@@ -163,38 +202,12 @@ class Exec {
         return Value::nil();
       case ExprKind::Name:
         return eval_name(e, f);
-      case ExprKind::Field: {
-        Value base = eval(*e.children[0], f);
-        if (base.is_undefined()) {
-          if (mode_ == EvalMode::Partial) return Value{};
-          throw RuntimeFault(e.loc, "field access on undefined record");
-        }
-        return base.elems().at(static_cast<std::size_t>(e.field_index));
-      }
-      case ExprKind::Index: {
-        Value base = eval(*e.children[0], f);
-        const std::int64_t ix =
-            need_scalar(eval(*e.children[1], f), e.children[1]->loc);
-        const Type* at = e.children[0]->type;
-        if (ix < at->lo || ix > at->hi) {
-          throw RuntimeFault(e.loc, "array index " + std::to_string(ix) +
-                                        " out of bounds " +
-                                        std::to_string(at->lo) + ".." +
-                                        std::to_string(at->hi));
-        }
-        if (base.is_undefined()) {
-          if (mode_ == EvalMode::Partial) return Value{};
-          throw RuntimeFault(e.loc, "indexing an undefined array");
-        }
-        return base.elems().at(static_cast<std::size_t>(ix - at->lo));
-      }
+      case ExprKind::Field:
+      case ExprKind::Index:
       case ExprKind::Deref: {
-        Value p = eval(*e.children[0], f);
-        if (p.is_undefined()) {
-          if (mode_ == EvalMode::Partial) return Value{};
-          throw RuntimeFault(e.loc, "dereference of undefined pointer");
-        }
-        return *deref_const(p, e.loc);
+        Value tmp;
+        const Value* v = eval_ref(e, f, tmp);
+        return v == &tmp ? std::move(tmp) : *v;
       }
       case ExprKind::Unary: {
         Value v = eval(*e.children[0], f);
@@ -216,6 +229,68 @@ class Exec {
         return eval_call(e, f);
     }
     throw RuntimeFault(e.loc, "internal: unhandled expression");
+  }
+
+  /// Evaluates `e` without copying it when it names storage (a variable,
+  /// a when-parameter, a field, an element or a pointee): returns a
+  /// pointer into that storage. Any other expression is evaluated into
+  /// `tmp`, and the result points there or into it.
+  const Value* eval_ref(const Expr& e, Frame& f, Value& tmp) {
+    switch (e.kind) {
+      case ExprKind::Name:
+        if (e.ref == NameRef::ModuleVar) {
+          return &m_.vars[static_cast<std::size_t>(e.slot)];
+        }
+        if (e.ref == NameRef::Local) return &f.slot_value(e.slot);
+        if (e.ref == NameRef::WhenParam && f.when_params != nullptr) {
+          return &(*f.when_params)[static_cast<std::size_t>(e.slot)];
+        }
+        break;
+      case ExprKind::Field: {
+        const Value* base = eval_ref(*e.children[0], f, tmp);
+        if (base->is_undefined()) {
+          if (mode_ == EvalMode::Partial) return &(tmp = Value{});
+          throw RuntimeFault(e.loc, "field access on undefined record");
+        }
+        return &base->elems().at(static_cast<std::size_t>(e.field_index));
+      }
+      case ExprKind::Index: {
+        const Value* base = eval_ref(*e.children[0], f, tmp);
+        if (base != &tmp && calls_routine(*e.children[1])) {
+          // The index may run a routine that writes the base's storage:
+          // hold a copy instead of a reference.
+          Value copy = *base;
+          tmp = std::move(copy);
+          base = &tmp;
+        }
+        const std::int64_t ix =
+            need_scalar(eval(*e.children[1], f), e.children[1]->loc);
+        const Type* at = e.children[0]->type;
+        if (ix < at->lo || ix > at->hi) {
+          throw RuntimeFault(e.loc, "array index " + std::to_string(ix) +
+                                        " out of bounds " +
+                                        std::to_string(at->lo) + ".." +
+                                        std::to_string(at->hi));
+        }
+        if (base->is_undefined()) {
+          if (mode_ == EvalMode::Partial) return &(tmp = Value{});
+          throw RuntimeFault(e.loc, "indexing an undefined array");
+        }
+        return &base->elems().at(static_cast<std::size_t>(ix - at->lo));
+      }
+      case ExprKind::Deref: {
+        const Value p = eval(*e.children[0], f);
+        if (p.is_undefined()) {
+          if (mode_ == EvalMode::Partial) return &(tmp = Value{});
+          throw RuntimeFault(e.loc, "dereference of undefined pointer");
+        }
+        return deref_const(p, e.loc);
+      }
+      default:
+        break;
+    }
+    tmp = eval(e, f);
+    return &tmp;
   }
 
   Value* lvalue(const Expr& e, Frame& f) {
@@ -281,6 +356,9 @@ class Exec {
   }
 
   std::uint64_t budget() const { return budget_; }
+
+  /// True once the sink vetoed an output: the firing stopped there.
+  bool aborted() const { return aborted_; }
 
  private:
   Value undef_or_fault(SourceLoc loc) {
@@ -482,23 +560,24 @@ class Exec {
       throw RuntimeFault(loc, "call depth limit exceeded (runaway recursion "
                               "in '" + r.name + "')");
     }
-    Frame f;
-    f.slots.resize(static_cast<std::size_t>(r.frame_size));
-    std::size_t slot = 0;
-    for (std::size_t i = 0; i < args.size(); ++i, ++slot) {
+    Frame f(r.frame_size);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      Frame::Slot& slot = f.slot(i);
       if (r.param_by_ref[i]) {
-        f.slots[slot].ref = lvalue(*args[i], caller);
+        slot.ref = lvalue(*args[i], caller);
       } else {
-        f.slots[slot].v = eval(*args[i], caller);
-        range_check(r.param_types[i], f.slots[slot].v, args[i]->loc);
+        slot.v = eval(*args[i], caller);
+        range_check(r.param_types[i], slot.v, args[i]->loc);
       }
     }
     init_locals(f, r.locals);
     ++depth_;
+    if (r.is_function) ++function_depth_;
     exec(*r.body, f);
+    if (r.is_function) --function_depth_;
     --depth_;
     return r.is_function
-               ? f.slots[static_cast<std::size_t>(r.result_slot)].v
+               ? std::move(f.slot(static_cast<std::size_t>(r.result_slot)).v)
                : Value{};
   }
 
@@ -554,7 +633,16 @@ class Exec {
     for (const est::ExprPtr& a : s.args) params.push_back(eval(*a, f));
     if (!sink_->on_output(s.ip_index, s.interaction_id, std::move(params),
                           s.loc)) {
-      throw PathAbort{};
+      if (function_depth_ > 0) throw PathAbort{};
+      aborted_ = true;
+    }
+  }
+
+  /// Runs `body` in order, stopping at a vetoed output.
+  void exec_seq(const std::vector<est::StmtPtr>& body, Frame& f) {
+    for (const est::StmtPtr& c : body) {
+      exec(*c, f);
+      if (aborted_) return;
     }
   }
 
@@ -567,6 +655,8 @@ class Exec {
   Trail* trail_;
   std::uint64_t budget_;
   int depth_ = 0;
+  int function_depth_ = 0;  // active function calls (vetoes there throw)
+  bool aborted_ = false;
 };
 
 }  // namespace
@@ -577,14 +667,14 @@ Interp::Interp(const est::Spec& spec, EvalMode mode, InterpLimits limits)
 bool Interp::run_initializer(MachineState& m, const est::Initializer& init,
                              OutputSink& sink, Trail* trail) {
   Exec exec(spec_, m, mode_, limits_, &sink, /*read_only=*/false, trail);
-  Frame f;
-  f.slots.resize(static_cast<std::size_t>(init.frame_size));
+  Frame f(init.frame_size);
   exec.init_locals(f, init.locals);
   try {
     if (init.block) exec.exec(*init.block, f);
   } catch (const PathAbort&) {
     return false;
   }
+  if (exec.aborted()) return false;
   if (trail != nullptr) trail->log_fsm(m.fsm_state);
   m.fsm_state = init.to_ordinal;
   return true;
@@ -594,8 +684,7 @@ bool Interp::fire(MachineState& m, const est::Transition& tr,
                   const std::vector<Value>& when_args, OutputSink& sink,
                   Trail* trail) {
   Exec exec(spec_, m, mode_, limits_, &sink, /*read_only=*/false, trail);
-  Frame f;
-  f.slots.resize(static_cast<std::size_t>(tr.frame_size));
+  Frame f(tr.frame_size);
   f.when_params = &when_args;
   exec.init_locals(f, tr.locals);
   try {
@@ -603,6 +692,7 @@ bool Interp::fire(MachineState& m, const est::Transition& tr,
   } catch (const PathAbort&) {
     return false;
   }
+  if (exec.aborted()) return false;
   if (tr.to_ordinal >= 0) {
     if (trail != nullptr) trail->log_fsm(m.fsm_state);
     m.fsm_state = tr.to_ordinal;
@@ -614,8 +704,7 @@ bool Interp::provided_holds(MachineState& m, const est::Transition& tr,
                             const std::vector<Value>& when_args) {
   if (!tr.provided) return true;
   Exec exec(spec_, m, mode_, limits_, nullptr, /*read_only=*/true);
-  Frame f;
-  f.slots.resize(static_cast<std::size_t>(tr.frame_size));
+  Frame f(tr.frame_size);
   f.when_params = &when_args;
   Value v = exec.eval(*tr.provided, f);
   if (v.is_undefined()) {
@@ -630,8 +719,7 @@ bool Interp::provided_holds(MachineState& m, const est::Transition& tr,
 bool Interp::provided_holds(MachineState& m, const est::Initializer& init) {
   if (!init.provided) return true;
   Exec exec(spec_, m, mode_, limits_, nullptr, /*read_only=*/true);
-  Frame f;
-  f.slots.resize(static_cast<std::size_t>(init.frame_size));
+  Frame f(init.frame_size);
   Value v = exec.eval(*init.provided, f);
   if (v.is_undefined()) {
     if (mode_ == EvalMode::Partial) return true;

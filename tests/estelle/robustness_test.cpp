@@ -4,6 +4,9 @@
 // deletions, character swaps) and feed garbage to the trace parser.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "estelle/spec.hpp"
 #include "specs/builtin_specs.hpp"
 #include "trace/trace_io.hpp"
@@ -21,8 +24,11 @@ void must_not_crash(std::string_view text) {
   }
 }
 
-class TruncationSweep
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+// The spec name is held by value so that the printed parameter (and with it
+// the discovered test name) does not carry a load address.
+using SpecStep = std::pair<std::string, int>;
+
+class TruncationSweep : public ::testing::TestWithParam<SpecStep> {};
 
 TEST_P(TruncationSweep, PrefixesNeverCrashTheFrontend) {
   const auto& [name, step] = GetParam();
@@ -35,10 +41,10 @@ TEST_P(TruncationSweep, PrefixesNeverCrashTheFrontend) {
 
 INSTANTIATE_TEST_SUITE_P(
     Specs, TruncationSweep,
-    ::testing::Values(std::pair{"ack", 7}, std::pair{"ip3", 11},
-                      std::pair{"abp", 13}, std::pair{"inres", 17},
-                      std::pair{"tp0", 23}, std::pair{"lapd", 41}),
-    [](const auto& info) { return std::string(info.param.first); });
+    ::testing::Values(SpecStep{"ack", 7}, SpecStep{"ip3", 11},
+                      SpecStep{"abp", 13}, SpecStep{"inres", 17},
+                      SpecStep{"tp0", 23}, SpecStep{"lapd", 41}),
+    [](const auto& info) { return info.param.first; });
 
 TEST(Robustness, CharacterCorruptionSweep) {
   const std::string base(specs::abp());

@@ -111,6 +111,41 @@ TEST(FuzzSmoke, ParseEnginesAcceptsTheDocumentedSpellings) {
   EXPECT_THROW((void)parse_engines("bfs"), CompileError);
 }
 
+TEST(FuzzSmoke, SimulatorFaultSkipsTheIterationAndIsReported) {
+  // LAPD's inwindow accepts a rej with nr = 8, so t_rej stores vs := 8 and
+  // a later array access faults while the simulator records the trace.
+  // That is a spec bug, not an engine disagreement: the iteration is
+  // skipped and reported, and the campaign goes on.
+  FuzzConfig config;
+  config.seed = 3649906349u;
+  config.iterations = 1;
+  config.specs = {"lapd"};
+  config.max_transitions = 20'000;
+  FuzzReport report;
+  ASSERT_NO_THROW(report = run_fuzz(config));
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.iterations, 1);
+  ASSERT_EQ(report.sim_faults.size(), 1u);
+  EXPECT_EQ(report.sim_faults[0].spec, "lapd");
+  EXPECT_EQ(report.sim_faults[0].iteration_seed, 3649906349u);
+  EXPECT_EQ(report.sim_faults[0].iteration, 0);
+  EXPECT_NE(report.sim_faults[0].message.find("array index 8 out of bounds"),
+            std::string::npos)
+      << report.sim_faults[0].message;
+  EXPECT_EQ(report.traces_analyzed, 0u);
+  EXPECT_NE(report.summary().find("simulator fault"), std::string::npos);
+  EXPECT_NE(report.to_json().find("\"sim_faults\":1"), std::string::npos);
+
+  // Concurrent iterations merge the faults like everything else: iteration
+  // 0 of this two-iteration campaign is the faulting one.
+  config.iterations = 2;
+  config.jobs = 2;
+  const FuzzReport two = run_fuzz(config);
+  ASSERT_EQ(two.sim_faults.size(), 1u);
+  EXPECT_EQ(two.sim_faults[0].iteration_seed, 3649906349u);
+  EXPECT_EQ(two.iterations, 2);
+}
+
 TEST(FuzzSmoke, FuzzableSpecsIncludeThePaperExamples) {
   const std::vector<std::string> names = fuzzable_builtin_specs();
   EXPECT_NE(std::find(names.begin(), names.end(), "abp"), names.end());

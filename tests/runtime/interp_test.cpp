@@ -366,6 +366,24 @@ TEST(Interp, ProvidedEvaluation) {
   EXPECT_FALSE(h.interp.provided_holds(h.machine, h.transition("no"), {}));
 }
 
+TEST(Interp, IndexReadsItsBaseBeforeTheIndexRunsARoutine) {
+  // Reads take the array by reference; an index expression that calls a
+  // routine may write that array, so the base is read (copied) first,
+  // exactly as a by-value read would see it.
+  Harness h(R"(
+    var a: array [0 .. 2] of integer; x, y: integer;
+    function bump(i: integer): integer;
+    begin a[0] := 9; bump := i; end;
+    state z;
+    initialize to z begin a[0] := 1; a[1] := 2; a[2] := 3; x := 0; end;
+    trans from z to z when P.go name t:
+      begin x := a[bump(0)]; y := a[0]; end;
+)");
+  ASSERT_TRUE(h.fire("t"));
+  EXPECT_EQ(h.var("x").scalar(), 1);
+  EXPECT_EQ(h.var("y").scalar(), 9);
+}
+
 TEST(Interp, ProvidedMustBeSideEffectFree) {
   Harness h(R"(
     var x: integer;
