@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -594,6 +595,44 @@ void augment_guard_matrix(const Spec& spec, const StateInvariants& inv,
     gm.inv_lo_[i] = inv.bounds[i].lo;
     gm.inv_hi_[i] = inv.bounds[i].hi;
   }
+}
+
+namespace {
+
+void add_invariant_facts(const Spec& spec, GuardMatrix& gm) {
+  const std::vector<RoutineEffects> effects = compute_routine_effects(spec);
+  augment_guard_matrix(spec, compute_state_invariants(spec, effects), gm);
+}
+
+}  // namespace
+
+GuardMatrix compute_static_facts(const Spec& spec, bool with_invariants) {
+  GuardMatrix gm = analyze_guards(spec).matrix;
+  if (with_invariants) add_invariant_facts(spec, gm);
+  return gm;
+}
+
+std::shared_ptr<const GuardMatrix> static_facts(const Spec& spec,
+                                                bool with_invariants) {
+  Spec::FactsMemo& memo = spec.facts_memo();
+  const std::size_t layer = with_invariants ? 1 : 0;
+  std::call_once(memo.once[layer], [&] {
+    // The invariant layer starts from the memoized pairwise layer instead
+    // of re-running the solver.
+    const std::shared_ptr<const GuardMatrix> pairwise =
+        with_invariants ? static_facts(spec, false) : nullptr;
+    GuardMatrix gm;
+    if (pairwise != nullptr) {
+      gm = *pairwise;
+      add_invariant_facts(spec, gm);
+    } else {
+      gm = compute_static_facts(spec, with_invariants);
+    }
+    if (gm.any_facts()) {
+      memo.facts[layer] = std::make_shared<const GuardMatrix>(std::move(gm));
+    }
+  });
+  return memo.facts[layer];
 }
 
 }  // namespace tango::analysis

@@ -26,6 +26,7 @@
 // (valid == false, no facts) rather than risk an unsound table.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "analysis/dataflow.hpp"
@@ -110,5 +111,17 @@ struct StateInvariants {
 /// soundness oracle). No-op when `inv.valid` is false.
 void augment_guard_matrix(const est::Spec& spec, const StateInvariants& inv,
                           GuardMatrix& gm);
+
+/// The facts the search consumes, computed afresh: the guard solver's
+/// pairwise matrix, plus the invariant fixpoint's facts when
+/// `with_invariants` is set. Pure function of the spec.
+[[nodiscard]] GuardMatrix compute_static_facts(const est::Spec& spec,
+                                               bool with_invariants);
+
+/// compute_static_facts memoized on the Spec (est::Spec::FactsMemo): the
+/// first call per layer computes it, every later call — from any thread —
+/// returns the same matrix. Null when the layer proves nothing.
+[[nodiscard]] std::shared_ptr<const GuardMatrix> static_facts(
+    const est::Spec& spec, bool with_invariants);
 
 }  // namespace tango::analysis

@@ -102,14 +102,18 @@ commands:
                                     (Figure 3 / Figure 4 traces)
   fuzz [spec...] [--seed=N] [--iterations=N] [--engines=dfs,hash,mdfs,par]
        [--chunk=N] [--jobs=N] [--stats <file>] [--out-dir <dir>]
-       [--max-transitions=N]
+       [--max-transitions=N] [search options]
                                     differential conformance fuzzing: random
                                     environments -> simulated + mutated
                                     traces -> cross-check DFS, hash-pruned
                                     DFS and on-line MDFS under all order
                                     presets; disagreements are shrunk and
                                     written as reproducer bundles
-                                    (see docs/FUZZING.md)
+                                    (see docs/FUZZING.md). Pruning, hashing,
+                                    checkpoint and budget options reach
+                                    every cell; --partial,
+                                    --unobservable-ip, --initial-state-search
+                                    and --disable-ip are usage errors
   events check <stream...>          schema-validate search-event streams
   events stats <stream>             per-kind counts and headline figures
   events diff <a> <b> [--ignore=k1,k2]
@@ -918,12 +922,11 @@ int cmd_fuzz(const Cli& cli) {
   config.out_dir = cli.out_dir;
   config.events_dir = cli.events_dir;
   config.verbose = cli.verbose;
-  config.checkpoint = cli.options.checkpoint;
-  config.static_prune = cli.options.static_prune;
+  config.base = cli.options;
+  config.base.jobs = 1;  // fuzz's --jobs runs iterations concurrently
   if (cli.options.max_transitions != 0) {
     config.max_transitions = cli.options.max_transitions;
   }
-  config.deadline_ms = cli.options.deadline_ms;
 
   fuzz::FuzzReport report = fuzz::run_fuzz(config, &std::cerr);
   std::cout << report.summary();

@@ -20,20 +20,14 @@ ResolvedOptions::ResolvedOptions(const est::Spec& spec, const Options& opts)
       unobservable(spec.ips.size(), 0) {
   // Guard-solver pruning facts. The solver's proofs assume standard
   // (defined-value) expression semantics and real when-bindings, so the
-  // matrix is only built when neither partial mode nor unobservable ips
-  // are in play; an empty matrix isn't worth the per-generate() checks.
+  // matrix is only used when neither partial mode nor unobservable ips are
+  // in play. Whole-spec invariant facts ride on the same matrix, except
+  // under initial-state search: it re-enters arbitrary FSM states after
+  // the initializer, which breaks the fixpoint's "seeded from
+  // initializers" premise — the per-state facts would be unsound there.
   if (opts.static_prune && !opts.partial && opts.unobservable_ips.empty()) {
-    if (opts.prebuilt_guard_matrix != nullptr) {
-      // Server fast path: adopt the registry's pre-analyzed matrix (one
-      // solver + fixpoint run at startup instead of one per session). An
-      // empty matrix stays null so generate() skips the per-candidate
-      // checks, same as the computed path below.
-      if (opts.prebuilt_guard_matrix->any_facts()) {
-        guard_matrix = opts.prebuilt_guard_matrix;
-      }
-    } else {
-      build_guard_matrix(spec, opts);
-    }
+    guard_matrix = analysis::static_facts(
+        spec, opts.invariant_prune && !opts.initial_state_search);
   }
   for (const std::string& name : opts.disabled_ips) {
     const int ip = spec.ip_index(name);
@@ -50,26 +44,6 @@ ResolvedOptions::ResolvedOptions(const est::Spec& spec, const Options& opts)
                                  name + "'");
     }
     unobservable[static_cast<std::size_t>(ip)] = 1;
-  }
-}
-
-void ResolvedOptions::build_guard_matrix(const est::Spec& spec,
-                                         const Options& opts) {
-  analysis::GuardAnalysis ga = analysis::analyze_guards(spec);
-  // Whole-spec invariant facts ride on the same matrix (v2 fields).
-  // Initial-state search re-enters arbitrary FSM states after the
-  // initializer, which breaks the fixpoint's "seeded from initializers"
-  // premise — the per-state facts would be unsound there.
-  if (opts.invariant_prune && !opts.initial_state_search) {
-    const std::vector<analysis::RoutineEffects> effects =
-        analysis::compute_routine_effects(spec);
-    const analysis::StateInvariants inv =
-        analysis::compute_state_invariants(spec, effects);
-    analysis::augment_guard_matrix(spec, inv, ga.matrix);
-  }
-  if (ga.matrix.any_facts()) {
-    guard_matrix = std::make_shared<const analysis::GuardMatrix>(
-        std::move(ga.matrix));
   }
 }
 

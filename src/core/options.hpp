@@ -150,16 +150,6 @@ struct Options {
   /// disabled under initial-state search, whose non-initializer entry
   /// states invalidate the fixpoint's seeding assumption.
   bool invariant_prune = true;
-  /// Pre-built guard-solver/invariant facts for this specification. When
-  /// set, ResolvedOptions adopts this matrix instead of re-running the
-  /// solver and the invariant fixpoint — the analysis server pre-analyzes
-  /// every spec once at startup and shares the matrix read-only across
-  /// sessions. The caller owns the contract that the matrix was built for
-  /// the SAME spec and with fact layers matching invariant_prune /
-  /// initial_state_search (`srv::SpecRegistry` keeps one matrix per
-  /// layer). Ignored whenever the solver would not have run at all
-  /// (static_prune off, partial mode, unobservable ips).
-  std::shared_ptr<const analysis::GuardMatrix> prebuilt_guard_matrix;
   /// Structured search-event sink (src/obs/). Null — the default — records
   /// nothing; engines guard every emission behind one branch. Non-owning:
   /// the sink must outlive the analysis. Every engine emits the same typed
@@ -205,8 +195,9 @@ struct ResolvedOptions {
   std::vector<char> unobservable;  // by ip index
   /// Guard-solver facts for generate()-time pruning; null when
   /// static_prune is off, the proofs are invalid for this run (partial
-  /// mode / unobservable ips) or the solver found nothing. Shared so the
-  /// parallel engines' per-worker views alias one matrix.
+  /// mode / unobservable ips) or the solver found nothing. Memoized on the
+  /// Spec (analysis::static_facts), so every analysis of one Spec — on any
+  /// thread — aliases one matrix and only the first pays for it.
   std::shared_ptr<const analysis::GuardMatrix> guard_matrix;
 
   [[nodiscard]] bool is_disabled(int ip) const {
@@ -215,12 +206,6 @@ struct ResolvedOptions {
   [[nodiscard]] bool is_unobservable(int ip) const {
     return unobservable[static_cast<std::size_t>(ip)] != 0;
   }
-
- private:
-  /// Runs the guard solver (plus the invariant fixpoint when its facts are
-  /// admissible) and installs the matrix; the constructor skips this when
-  /// Options carries a prebuilt matrix.
-  void build_guard_matrix(const est::Spec& spec, const Options& opts);
 };
 
 }  // namespace tango::core

@@ -4,12 +4,18 @@
 #pragma once
 
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "estelle/ast.hpp"
 #include "support/diagnostics.hpp"
+
+namespace tango::analysis {
+struct GuardMatrix;
+}
 
 namespace tango::est {
 
@@ -37,7 +43,8 @@ struct ModuleVarInfo {
 };
 
 /// A fully compiled single-module Estelle specification. Move-only; Type*
-/// and AST pointers remain valid for the Spec's lifetime.
+/// and AST pointers remain valid for the Spec's lifetime. Immutable after
+/// compile_spec, apart from the memo of spec-derived facts below.
 class Spec {
  public:
   Spec() = default;
@@ -74,6 +81,20 @@ class Spec {
   [[nodiscard]] const InteractionInfo& interaction(int id) const {
     return interactions.at(static_cast<std::size_t>(id));
   }
+
+  /// Memo of the search's static fact layers (analysis::static_facts):
+  /// slot 0 holds the pairwise guard-solver facts, slot 1 pairwise plus
+  /// invariant facts. Each slot is filled once, under its once_flag, by
+  /// the first user on any thread; every later analysis of this Spec
+  /// shares the stored matrix. Null when the layer proves nothing.
+  struct FactsMemo {
+    std::once_flag once[2];
+    std::shared_ptr<const analysis::GuardMatrix> facts[2];
+  };
+  [[nodiscard]] FactsMemo& facts_memo() const { return *facts_memo_; }
+
+ private:
+  std::unique_ptr<FactsMemo> facts_memo_ = std::make_unique<FactsMemo>();
 };
 
 /// Parses and semantically analyzes `source`. Non-fatal warnings accumulate

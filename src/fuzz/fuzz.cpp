@@ -9,7 +9,9 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "analysis/lint.hpp"
 #include "sim/mutate.hpp"
@@ -196,6 +198,21 @@ std::string FuzzReport::summary() const {
 }
 
 FuzzReport run_fuzz(const FuzzConfig& config, std::ostream* log) {
+  // Each of these would turn the O1/O2 expectations into false alarms.
+  const core::Options& o = config.base;
+  const std::pair<bool, const char*> unsupported[] = {
+      {!o.unobservable_ips.empty(), "--unobservable-ip"},
+      {o.partial, "--partial"},
+      {o.initial_state_search, "--initial-state-search"},
+      {!o.disabled_ips.empty(), "--disable-ip"}};
+  for (const auto& [set, flag] : unsupported) {
+    if (set) {
+      throw std::invalid_argument(
+          std::string("fuzz does not support ") + flag +
+          ": its oracles assume complete traces analyzed from the declared "
+          "initial state with every output checked");
+    }
+  }
   FuzzReport report;
   for (Engine e : config.engines) {
     report.totals.push_back(
@@ -234,11 +251,8 @@ FuzzReport run_fuzz(const FuzzConfig& config, std::ostream* log) {
     }
   }
 
-  core::Options base = core::Options::none();
+  core::Options base = config.base;
   base.max_transitions = config.max_transitions;
-  base.deadline_ms = config.deadline_ms;
-  base.checkpoint = config.checkpoint;
-  base.static_prune = config.static_prune;
   if (!config.events_dir.empty()) {
     std::filesystem::create_directories(config.events_dir);
   }

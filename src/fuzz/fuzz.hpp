@@ -49,22 +49,21 @@ struct FuzzConfig {
   /// counter in the report is identical for any jobs value (only measured
   /// cpu time varies).
   int jobs = 1;
-  /// Per-analysis search budget; exhaustion yields Inconclusive, which the
-  /// agreement relation skips.
+  /// Options every matrix cell starts from: pruning switches, checkpoint
+  /// and hash implementation, budgets (deadline, memory, visited table).
+  /// Each cell then sets its preset's order checks and its engine's own
+  /// flags. A cell that exhausts a budget is Inconclusive, which the
+  /// agreement relation skips — so a slow machine degrades coverage, not
+  /// soundness. The oracles assume complete traces analyzed from the
+  /// declared initial state with every output checked, so run_fuzz
+  /// rejects partial mode, unobservable ips, initial-state search and
+  /// disabled ips. Campaigns with both checkpoint modes (or with
+  /// static_prune toggled) and the same seed must report identical
+  /// verdicts and identical TE/GE/RE/SA totals.
+  core::Options base;
+  /// Per-analysis transition budget; replaces base.max_transitions, whose
+  /// default (unlimited) no campaign wants.
   std::uint64_t max_transitions = 200'000;
-  /// Per-analysis wall-clock deadline in milliseconds (0 = none). A cell
-  /// that trips it is Inconclusive(reason=deadline), which the agreement
-  /// relation skips — so a slow machine degrades coverage, not soundness.
-  std::uint64_t deadline_ms = 0;
-  /// Save/restore implementation the DFS engines run under; campaigns with
-  /// both modes and the same seed must report identical verdicts and
-  /// identical TE/GE/RE/SA totals (the copy-vs-trail differential oracle).
-  core::CheckpointMode checkpoint = core::CheckpointMode::Trail;
-  /// Consume guard-solver facts in every analysis of the campaign (the
-  /// engines still agree among themselves either way; run two campaigns
-  /// with the same seed and this toggled to differentially test the
-  /// pruning itself).
-  bool static_prune = true;
   /// Reject specs with error-level lint findings before fuzzing them (an
   /// unguarded non-progress cycle would make every DFS iteration diverge);
   /// specs with warnings are fuzzed but labelled in the log.

@@ -114,7 +114,10 @@ class Exec {
         Value v = eval(*s.e1, f);
         Value* dst = lvalue(*s.e0, f);
         range_check(s.e0->type, v, s.loc);
-        *dst = std::move(v);
+        // Copy into the existing storage rather than moving: a
+        // by-reference parameter may point into it, and a move would
+        // free the buffer under it.
+        *dst = v;
         return;
       }
       case StmtKind::If:
@@ -293,66 +296,27 @@ class Exec {
     return &tmp;
   }
 
+  /// Resolves an assignable expression to its storage. A store into a
+  /// module variable is logged on the trail once the whole path is known —
+  /// after every index expression ran, so a routine an index calls logs its
+  /// own writes first and newest-first undo stays exact — as the written
+  /// element alone (Trail::log_var with a path), or as the whole slot when
+  /// the path is deeper than Trail::kMaxPath.
   Value* lvalue(const Expr& e, Frame& f) {
-    switch (e.kind) {
-      case ExprKind::Name:
-        switch (e.ref) {
-          case NameRef::ModuleVar: {
-            check_writable(e.loc, "module variable");
-            // Log the whole root slot: a field/index lvalue resolves
-            // through here first, and a slot index stays valid however the
-            // value is later reassigned (interior pointers would not).
-            Value* root = &m_.vars[static_cast<std::size_t>(e.slot)];
-            if (trail_ != nullptr) {
-              trail_->log_var(e.slot, *root, m_.var_cache_entry(e.slot));
-            }
-            m_.note_var_write(e.slot);
-            return root;
-          }
-          case NameRef::Local:
-            return &f.slot_value(e.slot);
-          default:
-            throw RuntimeFault(e.loc, "'" + e.name + "' is not assignable");
+    Place p;
+    Value* dst = place(e, f, p);
+    if (p.slot >= 0) {
+      if (trail_ != nullptr) {
+        const CompCache prior = m_.var_cache_entry(p.slot);
+        if (p.depth <= Trail::kMaxPath) {
+          trail_->log_var(p.slot, {p.path.data(), p.depth}, *dst, prior);
+        } else {
+          trail_->log_var(p.slot, *p.root, prior);
         }
-      case ExprKind::Field: {
-        Value* base = lvalue(*e.children[0], f);
-        if (base->is_undefined()) {
-          throw RuntimeFault(e.loc, "field access on undefined record");
-        }
-        return &base->elems().at(static_cast<std::size_t>(e.field_index));
       }
-      case ExprKind::Index: {
-        Value* base = lvalue(*e.children[0], f);
-        const std::int64_t ix =
-            need_scalar(eval(*e.children[1], f), e.children[1]->loc);
-        const Type* at = e.children[0]->type;
-        if (ix < at->lo || ix > at->hi) {
-          throw RuntimeFault(e.loc, "array index " + std::to_string(ix) +
-                                        " out of bounds");
-        }
-        if (base->is_undefined()) {
-          throw RuntimeFault(e.loc, "indexing an undefined array");
-        }
-        return &base->elems().at(static_cast<std::size_t>(ix - at->lo));
-      }
-      case ExprKind::Deref: {
-        check_writable(e.loc, "dynamic memory");
-        Value p = eval(*e.children[0], f);
-        if (p.is_undefined()) {
-          throw RuntimeFault(e.loc, "dereference of undefined pointer");
-        }
-        // Capture the cache entry before deref(): the non-const cell
-        // lookup bumps the heap epoch for the write about to happen.
-        const CompCache heap_prior = m_.heap_cache_entry();
-        Value* cell = deref(p, e.loc);
-        if (trail_ != nullptr) {
-          trail_->log_heap_write(p.address(), *cell, heap_prior);
-        }
-        return cell;
-      }
-      default:
-        throw RuntimeFault(e.loc, "expression is not assignable");
+      m_.note_var_write(p.slot);
     }
+    return dst;
   }
 
   std::uint64_t budget() const { return budget_; }
@@ -361,6 +325,84 @@ class Exec {
   bool aborted() const { return aborted_; }
 
  private:
+  /// Where a store lands: the root storage (a module variable when `slot`
+  /// is set, else a local or a heap cell) and the element indices below it
+  /// (the first kMaxPath of `depth`).
+  struct Place {
+    int slot = -1;
+    Value* root = nullptr;
+    std::size_t depth = 0;
+    std::array<std::uint32_t, Trail::kMaxPath> path{};
+  };
+
+  Value* place(const Expr& e, Frame& f, Place& p) {
+    switch (e.kind) {
+      case ExprKind::Name:
+        switch (e.ref) {
+          case NameRef::ModuleVar:
+            check_writable(e.loc, "module variable");
+            p.slot = e.slot;
+            return p.root = &m_.vars[static_cast<std::size_t>(e.slot)];
+          case NameRef::Local:
+            return p.root = &f.slot_value(e.slot);
+          default:
+            throw RuntimeFault(e.loc, "'" + e.name + "' is not assignable");
+        }
+      case ExprKind::Field: {
+        Value* base = place(*e.children[0], f, p);
+        if (base->is_undefined()) {
+          throw RuntimeFault(e.loc, "field access on undefined record");
+        }
+        return step(p, *base, static_cast<std::size_t>(e.field_index));
+      }
+      case ExprKind::Index: {
+        Value* base = place(*e.children[0], f, p);
+        const std::int64_t ix =
+            need_scalar(eval(*e.children[1], f), e.children[1]->loc);
+        // The index may have run a routine that reassigned storage on the
+        // path, moving the base: find it again from the root. (Beyond
+        // kMaxPath the path is not recorded and the base is kept.)
+        if (calls_routine(*e.children[1]) && p.depth <= Trail::kMaxPath) {
+          base = element_at(*p.root, {p.path.data(), p.depth});
+        }
+        const Type* at = e.children[0]->type;
+        if (ix < at->lo || ix > at->hi) {
+          throw RuntimeFault(e.loc, "array index " + std::to_string(ix) +
+                                        " out of bounds");
+        }
+        if (base == nullptr || base->is_undefined()) {
+          throw RuntimeFault(e.loc, "indexing an undefined array");
+        }
+        return step(p, *base, static_cast<std::size_t>(ix - at->lo));
+      }
+      case ExprKind::Deref: {
+        check_writable(e.loc, "dynamic memory");
+        Value ptr = eval(*e.children[0], f);
+        if (ptr.is_undefined()) {
+          throw RuntimeFault(e.loc, "dereference of undefined pointer");
+        }
+        // Capture the cache entry before deref(): the non-const cell
+        // lookup bumps the heap epoch for the write about to happen.
+        const CompCache heap_prior = m_.heap_cache_entry();
+        Value* cell = deref(ptr, e.loc);
+        if (trail_ != nullptr) {
+          trail_->log_heap_write(ptr.address(), *cell, heap_prior);
+        }
+        return p.root = cell;
+      }
+      default:
+        throw RuntimeFault(e.loc, "expression is not assignable");
+    }
+  }
+
+  static Value* step(Place& p, Value& base, std::size_t i) {
+    if (p.depth < Trail::kMaxPath) {
+      p.path[p.depth] = static_cast<std::uint32_t>(i);
+    }
+    ++p.depth;
+    return &base.elems().at(i);
+  }
+
   Value undef_or_fault(SourceLoc loc) {
     if (mode_ == EvalMode::Partial) return Value{};
     throw RuntimeFault(loc, "use of an undefined value (strict mode)");

@@ -14,12 +14,19 @@ void Trail::log_fsm(int old_state) {
 }
 
 void Trail::log_var(int slot, const Value& old_value, CompCache prior) {
+  log_var(slot, {}, old_value, prior);
+}
+
+void Trail::log_var(int slot, std::span<const std::uint32_t> path,
+                    const Value& old_value, CompCache prior) {
   affinity_.bind_or_check();
   Entry e;
   e.kind = Kind::Var;
+  e.path_len = static_cast<std::uint8_t>(path.size());
   e.index = static_cast<std::uint32_t>(slot);
   e.old = old_value;
   e.cache = prior;
+  paths_.insert(paths_.end(), path.begin(), path.end());
   entries_.push_back(std::move(e));
   ++total_logged_;
 }
@@ -69,10 +76,19 @@ void Trail::undo_to(Mark m, MachineState& state) {
       case Kind::Fsm:
         state.fsm_state = e.fsm_old;
         break;
-      case Kind::Var:
-        state.vars[e.index] = std::move(e.old);
+      case Kind::Var: {
+        const std::size_t begin = paths_.size() - e.path_len;
+        // A container on the path that lost its structure was overwritten
+        // through an older entry's location (a by-reference parameter);
+        // that entry restores it.
+        if (Value* target = element_at(state.vars[e.index],
+                                       {paths_.data() + begin, e.path_len})) {
+          *target = std::move(e.old);
+        }
+        paths_.resize(begin);
         state.restore_var_cache(static_cast<int>(e.index), e.cache);
         break;
+      }
       case Kind::HeapWrite: {
         Value* cell = state.heap.cell(e.index);
         // The cell must be live: an alloc/release of the same address

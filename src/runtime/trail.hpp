@@ -4,11 +4,15 @@
 // and every subsequent mutation of the machine state pushes one undo entry;
 // *restore* pops entries back to the mark, reverting them in reverse order.
 //
-// Granularity: module variables are logged per top-level slot and heap
-// cells per address (a write through a field/index path captures the whole
-// root value). Interior Value pointers are never stored — an entry is keyed
-// by slot index or heap address, so it survives wholesale reassignment of
-// the value it reverts.
+// Granularity: a store through a field/index path rooted at a module
+// variable logs (slot, element path, old sub-value) — writing one element
+// of a 128-element array copies that element, not the array. Paths deeper
+// than kMaxPath, and stores to a whole variable, log the whole slot. Heap
+// cells are logged per address (a write through a pointer captures the
+// whole cell). Interior Value pointers are never stored — an entry is
+// keyed by slot index plus element indices, or by heap address, so it
+// survives wholesale reassignment of the value it reverts. The hash cache
+// stays per slot: a path entry restores the slot's cache entry.
 //
 // Entries must be undone in exact reverse mutation order; that is what
 // makes the allocate/release entries safe to replay against the std::map
@@ -17,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "runtime/machine.hpp"
@@ -39,11 +44,20 @@ class Trail {
   /// The FSM state ordinal is about to change. (No cache entry: the FSM
   /// component is never cached — machine.hpp.)
   void log_fsm(int old_state);
+  /// Longest element path a var entry records; deeper stores log the
+  /// whole slot.
+  static constexpr std::size_t kMaxPath = 4;
+
   /// Module variable `slot` is about to be written (whole-slot old value).
   /// `prior` is the hash-cache entry the write clobbers
   /// (MachineState::var_cache_entry, captured before the mutation);
   /// undo_to hands it back so backtracking never rehashes.
   void log_var(int slot, const Value& old_value, CompCache prior = {});
+  /// The element of module variable `slot` reached by `path` (indices into
+  /// Value::elems(), outermost first, at most kMaxPath of them) is about to
+  /// be written; `old_value` is that element. `prior` as for log_var.
+  void log_var(int slot, std::span<const std::uint32_t> path,
+               const Value& old_value, CompCache prior = {});
   /// Heap cell `addr` is about to be written. `prior` is
   /// MachineState::heap_cache_entry() captured before the epoch bump.
   void log_heap_write(std::uint32_t addr, const Value& old_value,
@@ -61,6 +75,7 @@ class Trail {
   void clear() {
     affinity_.bind_or_check();
     entries_.clear();
+    paths_.clear();
   }
 
  private:
@@ -74,13 +89,17 @@ class Trail {
 
   struct Entry {
     Kind kind;
-    int fsm_old = 0;         // Fsm only
-    std::uint32_t index = 0; // var slot or heap address
-    Value old;               // previous contents (unused for Fsm/HeapAlloc)
-    CompCache cache;         // hash-cache entry clobbered by the mutation
+    std::uint8_t path_len = 0;  // Var only: trailing paths_ elements it owns
+    int fsm_old = 0;            // Fsm only
+    std::uint32_t index = 0;    // var slot or heap address
+    Value old;                  // previous contents (unused for Fsm/HeapAlloc)
+    CompCache cache;            // hash-cache entry clobbered by the mutation
   };
 
   std::vector<Entry> entries_;
+  /// Element paths of Var entries, stacked in entry order, so an entry
+  /// without a path carries nothing but its zero path_len.
+  std::vector<std::uint32_t> paths_;
   std::uint64_t total_logged_ = 0;
   /// Debug-only: a trail belongs to exactly one worker for its whole life
   /// (trails are never snapshotted — only machine states are).

@@ -128,6 +128,15 @@ bool contains_undefined(const Value& v) {
   return false;
 }
 
+Value* element_at(Value& root, std::span<const std::uint32_t> path) {
+  Value* v = &root;
+  for (const std::uint32_t i : path) {
+    if (i >= v->elems().size()) return nullptr;
+    v = &v->elems()[i];
+  }
+  return v;
+}
+
 Value default_value(const est::Type* type) {
   using est::TypeKind;
   if (type == nullptr) return Value{};

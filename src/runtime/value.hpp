@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,12 @@ class Value {
 
 /// True if the value or any nested element is undefined.
 [[nodiscard]] bool contains_undefined(const Value& v);
+
+/// The element reached from `root` through `path` (indices into elems(),
+/// outermost first); null when a container on the way has no such element
+/// (it was overwritten by an undefined value).
+[[nodiscard]] Value* element_at(Value& root,
+                                std::span<const std::uint32_t> path);
 
 /// Default (freshly declared) value of a type: undefined scalars; records
 /// and arrays get their structure with undefined leaves.

@@ -11,21 +11,8 @@ void SpecRegistry::preload(std::string ref, std::string_view text) {
   PreparedSpec prepared;
   prepared.ref = std::move(ref);
   prepared.spec = est::compile_spec(text);
-
-  analysis::GuardAnalysis ga = analysis::analyze_guards(prepared.spec);
-  if (ga.matrix.any_facts()) {
-    prepared.matrix_pairwise =
-        std::make_shared<const analysis::GuardMatrix>(ga.matrix);
-  }
-  const std::vector<analysis::RoutineEffects> effects =
-      analysis::compute_routine_effects(prepared.spec);
-  const analysis::StateInvariants inv =
-      analysis::compute_state_invariants(prepared.spec, effects);
-  analysis::augment_guard_matrix(prepared.spec, inv, ga.matrix);
-  if (ga.matrix.any_facts()) {
-    prepared.matrix_full = std::make_shared<const analysis::GuardMatrix>(
-        std::move(ga.matrix));
-  }
+  (void)analysis::static_facts(prepared.spec, /*with_invariants=*/false);
+  (void)analysis::static_facts(prepared.spec, /*with_invariants=*/true);
 
   storage_.push_back(std::move(prepared));
   const PreparedSpec& stored = storage_.back();

@@ -1,21 +1,17 @@
 // Spec registry for the analysis server: every specification the server
-// will serve is compiled and statically analyzed ONCE at startup, then
-// shared read-only across sessions. Two guard matrices are kept per spec
-// because the admissible fact set depends on per-session options: the
-// pairwise matrix (guard-solver refutations only) serves sessions that
-// disable invariant pruning, the full matrix (pairwise + whole-spec
-// invariant facts) serves the default configuration. Sessions never
-// mutate a PreparedSpec; the registry is immutable after startup, so no
-// lock is needed on the hot path.
+// will serve is compiled ONCE at startup and shared read-only across
+// sessions. Preloading also warms both static fact layers memoized on the
+// Spec (analysis::static_facts) — pairwise guard facts for sessions that
+// disable invariant pruning, pairwise + invariant facts for the default
+// configuration — so no session pays for the solver. The registry is
+// immutable after startup, so no lock is needed on the hot path.
 #pragma once
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 
-#include "analysis/guard_solver.hpp"
 #include "estelle/spec.hpp"
 
 namespace tango::srv {
@@ -23,23 +19,11 @@ namespace tango::srv {
 struct PreparedSpec {
   std::string ref;  // how hello frames name it, e.g. "builtin:abp"
   est::Spec spec;
-  /// Guard-solver facts only; null when the solver proved nothing.
-  std::shared_ptr<const analysis::GuardMatrix> matrix_pairwise;
-  /// Pairwise + invariant facts; null when still empty.
-  std::shared_ptr<const analysis::GuardMatrix> matrix_full;
-
-  /// Matrix matching the session's option layers (mirrors the gating in
-  /// ResolvedOptions::build_guard_matrix).
-  [[nodiscard]] const std::shared_ptr<const analysis::GuardMatrix>& select(
-      bool invariant_prune, bool initial_state_search) const {
-    return invariant_prune && !initial_state_search ? matrix_full
-                                                    : matrix_pairwise;
-  }
 };
 
 class SpecRegistry {
  public:
-  /// Compiles `text` and runs the guard solver + invariant fixpoint.
+  /// Compiles `text` and warms both of its static fact layers.
   /// Throws CompileError on a bad spec. Re-preloading a ref replaces it.
   void preload(std::string ref, std::string_view text);
 

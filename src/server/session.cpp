@@ -284,8 +284,6 @@ void run_session(int fd, const SessionContext& ctx) {
       return;
     }
     core::Options opts = options_from_hello(ctx.config->default_options, hello);
-    opts.prebuilt_guard_matrix =
-        ps->select(opts.invariant_prune, opts.initial_state_search);
 
     std::unique_ptr<obs::JsonlSink> sink;
     if (!ctx.config->events_dir.empty()) {

@@ -273,9 +273,9 @@ TEST(PruneDiff, SameSeedFuzzCampaignsAgree) {
   config.seed = 20260805;
   config.iterations = 3;
   config.specs = {"ack"};
-  config.static_prune = true;
+  config.base.static_prune = true;
   fuzz::FuzzReport pruned = fuzz::run_fuzz(config);
-  config.static_prune = false;
+  config.base.static_prune = false;
   fuzz::FuzzReport plain = fuzz::run_fuzz(config);
   EXPECT_TRUE(pruned.clean()) << pruned.summary();
   EXPECT_TRUE(plain.clean()) << plain.summary();

@@ -132,10 +132,10 @@ TEST(CheckpointDiff, SameSeedFuzzCampaignsMatchAcrossModes) {
   config.iterations = TANGO_FUZZ_ITERATIONS;
   config.specs = {"abp", "inres"};
 
-  config.checkpoint = core::CheckpointMode::Copy;
+  config.base.checkpoint = core::CheckpointMode::Copy;
   std::ostringstream copy_log;
   const FuzzReport copy = run_fuzz(config, &copy_log);
-  config.checkpoint = core::CheckpointMode::Trail;
+  config.base.checkpoint = core::CheckpointMode::Trail;
   std::ostringstream trail_log;
   const FuzzReport trail = run_fuzz(config, &trail_log);
 

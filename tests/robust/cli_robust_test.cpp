@@ -1,8 +1,9 @@
 // CLI hardening (exercises the real `tango` binary): the validating
 // numeric-flag parsers (bad/overflowing values are usage errors, exit 2,
 // never a std::stoi crash), the --visited-max-without---hash-states
-// diagnosis, and the resource flags' end-to-end surface (reason line,
-// batch JSON). TANGO_CLI_PATH and TANGO_TRACES_DIR come from CMake.
+// diagnosis, the resource flags' end-to-end surface (reason line,
+// batch JSON) and the options `tango fuzz` hands to its matrix.
+// TANGO_CLI_PATH and TANGO_TRACES_DIR come from CMake.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -10,6 +11,8 @@
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -153,6 +156,50 @@ TEST(CliRobust, BatchEventStreamsAreReplayable) {
   EXPECT_EQ(replay.output.find("cannot open"), std::string::npos)
       << replay.output;
   std::filesystem::remove_all(dir);
+}
+
+std::size_t count(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// `tango fuzz` used to copy four options into its campaign and drop the
+// rest: with --max-memory dropped, every dfs/mdfs cell ran to the
+// transition budget instead of stopping on memory.
+TEST(CliRobust, FuzzHandsTheMemoryBudgetToEveryCell) {
+  const std::filesystem::path stats =
+      std::filesystem::path(testing::TempDir()) / "cli_robust_fuzz.json";
+  std::filesystem::remove(stats);
+  const RunResult r = run_cli("fuzz abp --iterations=2 --max-memory=1 "
+                              "--stats=" + stats.string());
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(stats);
+  std::stringstream json;
+  json << in.rdbuf();
+  // One per engine (dfs, hash-dfs, mdfs), each stopped on memory.
+  EXPECT_EQ(count(json.str(), "\"reason\":\"memory\""), 3u) << json.str();
+  EXPECT_EQ(count(json.str(), "\"reason\":\"transitions\""), 0u)
+      << json.str();
+  std::filesystem::remove(stats);
+}
+
+// The fuzz oracles assume complete traces analyzed from the declared
+// initial state with every output checked; an option that breaks that is
+// a usage error naming the option, never silently dropped.
+TEST(CliRobust, FuzzRejectsOptionsItsOraclesCannotHonour) {
+  for (const std::string flag :
+       {"--partial", "--unobservable-ip", "--initial-state-search",
+        "--disable-ip"}) {
+    const bool takes_ip = flag == "--unobservable-ip" || flag == "--disable-ip";
+    const RunResult r = run_cli("fuzz abp --iterations=1 " + flag +
+                                (takes_ip ? "=u" : ""));
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find(flag), std::string::npos) << r.output;
+  }
 }
 
 }  // namespace

@@ -172,5 +172,69 @@ TEST(Trail, RandomMutationSweepAgreesWithDeepCopy) {
   }
 }
 
+TEST(Trail, ElementPathEntriesUnwindUnderNestedMarks) {
+  // Property: element-path entries of every depth, interleaved with
+  // whole-slot entries, undo to each nested mark exactly as a deep copy
+  // taken at that mark (the path stack must stay aligned with the entries
+  // across partial rewinds).
+  std::mt19937 rng(16);
+  const auto leaf = [&] {
+    return Value::make_int(static_cast<std::int64_t>(rng() % 100));
+  };
+  MachineState m;
+  std::vector<Value> rows;
+  for (int i = 0; i < 4; ++i) {
+    rows.push_back(Value::make_record({leaf(), leaf()}));
+  }
+  m.vars.push_back(Value::make_record({Value::make_array(rows), leaf()}));
+  m.vars.push_back(leaf());
+
+  Trail trail;
+  std::vector<std::pair<Trail::Mark, MachineState>> marks;
+  marks.emplace_back(trail.mark(), m);
+  for (int step = 0; step < 400; ++step) {
+    switch (rng() % 6) {
+      case 0:
+        marks.emplace_back(trail.mark(), m);
+        break;
+      case 1:  // restore the innermost mark, sometimes dropping it
+        trail.undo_to(marks.back().first, m);
+        ASSERT_TRUE(same_machine(m, marks.back().second)) << "step " << step;
+        if (marks.size() > 1 && rng() % 2 == 0) marks.pop_back();
+        break;
+      case 2: {  // whole-slot write
+        const std::size_t slot = rng() % 2;
+        trail.log_var(static_cast<int>(slot), m.vars[slot]);
+        m.vars[slot] = slot == 0 ? Value::make_record({Value::make_array(rows),
+                                                       leaf()})
+                                 : leaf();
+        break;
+      }
+      default: {  // element write at depth 1..3 below slot 0
+        std::vector<std::uint32_t> path;
+        Value* v = &m.vars[0];
+        const std::size_t depth = 1 + rng() % 3;
+        for (std::size_t d = 0; d < depth && !v->is_scalar(); ++d) {
+          path.push_back(static_cast<std::uint32_t>(rng() %
+                                                    v->elems().size()));
+          v = &v->elems()[path.back()];
+        }
+        trail.log_var(0, path, *v);
+        if (v->is_scalar()) {
+          *v = leaf();
+        } else if (path.size() == 1) {  // the array of rows
+          *v = Value::make_array(rows);
+        } else {  // one row
+          *v = Value::make_record({leaf(), leaf()});
+        }
+        break;
+      }
+    }
+  }
+  trail.undo_to(marks.front().first, m);
+  EXPECT_TRUE(same_machine(m, marks.front().second));
+  EXPECT_EQ(trail.size(), 0u);
+}
+
 }  // namespace
 }  // namespace tango::rt
